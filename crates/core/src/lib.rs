@@ -65,13 +65,11 @@ pub use find_cluster::{
     BUDGET_BLOCK, PAR_SERIAL_CUTOFF,
 };
 pub use index::{
-    find_cluster_indexed, find_cluster_indexed_budgeted, find_cluster_indexed_par,
-    max_cluster_size_indexed, max_cluster_size_indexed_budgeted, max_cluster_size_indexed_par,
-    ClusterIndex, IndexError, IndexStats,
+    find_cluster_indexed, find_cluster_indexed_par, max_cluster_size_indexed,
+    max_cluster_size_indexed_par, ClusterIndex, IndexError, IndexStats,
 };
 pub use node::{ClusterNode, ProtocolConfig, RoutePolicy};
 pub use query::{
-    process_query, process_query_indexed, process_query_resilient,
-    process_query_resilient_budgeted, process_query_resilient_indexed, process_query_with_policy,
-    Degradation, QueryOutcome, QueryRequest, RetryPolicy,
+    process_query, process_query_resilient, process_query_resilient_budgeted, Degradation,
+    QueryOutcome, QueryRequest, RetryPolicy,
 };

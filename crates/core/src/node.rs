@@ -290,209 +290,60 @@ impl ClusterNode {
         self.class_count
     }
 
-    /// Algorithm 4, local half: answers `(k, class_idx)` from the local
-    /// clustering space if `aggrCRT[x][l]` admits it.
-    pub fn answer_locally(
-        &self,
-        k: usize,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space = self.clustering_space();
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let l = classes.distance_of(class_idx);
-        find_cluster::find_cluster(&local, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::answer_locally`] through a [`crate::ClusterIndex`]
-    /// built over the local clustering space: the same CRT gate, the same
-    /// space, and a bit-identical answer — the indexed kernel prunes rows
-    /// and pairs through ball-size bounds but runs the identical membership
-    /// test on the survivors. Local spaces are small (close nodes only), so
-    /// the index is built per call; the win is the pruned scan on gossip-
-    /// inflated spaces, and the shared code path with the system-wide
-    /// indexed probes.
-    pub fn answer_locally_indexed(
-        &self,
-        k: usize,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space = self.clustering_space();
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let index = crate::ClusterIndex::from_metric(&local);
-        let l = classes.distance_of(class_idx);
-        crate::find_cluster_indexed(&local, &index, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::answer_locally`] restricted to hosts the caller
-    /// believes alive — the failure-recovery variant used by
-    /// [`crate::process_query_resilient`].
+    /// Algorithm 4, local half: answers `(k, class_idx)` from the live part
+    /// of the local clustering space if `aggrCRT[x][l]` admits it, by
+    /// Algorithm 1's row-major pair sweep. The node-local kernel of
+    /// [`crate::process_query_resilient_budgeted`].
     ///
     /// The clustering space may contain crashed hosts (close-node records
-    /// are only as fresh as the last gossip round), so a cluster assembled
-    /// from stale state could include dead members. Filtering the space
-    /// keeps the answer valid: the diameter constraint is hereditary, so
-    /// any subset of a feasible cluster is feasible.
-    pub fn answer_locally_filtered(
-        &self,
-        k: usize,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
-    ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < k {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let l = classes.distance_of(class_idx);
-        find_cluster::find_cluster(&local, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::answer_locally_filtered`] through a per-call
-    /// [`crate::ClusterIndex`] over the live part of the clustering space:
-    /// the same CRT gate, the same liveness filter, and a bit-identical
-    /// answer — [`crate::find_cluster_indexed`] returns exactly what the
-    /// pair sweep would on the same sub-metric. This is the local kernel
-    /// the indexed resilient walk
-    /// ([`crate::process_query_resilient_indexed`]) runs at every node.
-    pub fn answer_locally_filtered_indexed(
-        &self,
-        k: usize,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
-    ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < k {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let index = crate::ClusterIndex::from_metric(&local);
-        let l = classes.distance_of(class_idx);
-        crate::find_cluster_indexed(&local, &index, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::answer_locally_filtered`] under a [`WorkMeter`]: the
-    /// local cluster search charges the meter per pair examined, and on
-    /// exhaustion reports the largest live subset (size ≥ 2) assembled so
-    /// far as the `best_partial` instead of a full answer.
+    /// are only as fresh as the last gossip round), so only hosts the
+    /// caller believes alive are searched. Any subset of a feasible
+    /// cluster is feasible, so filtering keeps the answer valid.
     ///
-    /// With an unexhausted meter the result is bit-identical to the
-    /// unbudgeted variant.
+    /// The search charges the meter per pair examined. On exhaustion it
+    /// reports the largest live subset (size ≥ 2) assembled so far as the
+    /// `best_partial` instead of a full answer.
     pub fn answer_locally_filtered_budgeted(
         &self,
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
+        alive: impl FnMut(NodeId) -> bool,
         meter: &mut WorkMeter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
         if k == 0 || k > self.own_max[class_idx] {
             return Budgeted::Done(None);
         }
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
+        let space = self.live_space(alive);
         if space.len() < k {
             return Budgeted::Done(None);
         }
         let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
         let l = classes.distance_of(class_idx);
-        match find_cluster::find_cluster_budgeted(&local, k, l, meter) {
-            Budgeted::Done(r) => {
-                Budgeted::Done(r.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()))
-            }
-            Budgeted::Exhausted {
-                pairs_done,
-                best_partial,
-            } => Budgeted::Exhausted {
-                pairs_done,
-                best_partial: best_partial.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()),
-            },
-        }
+        to_hosts(
+            &space,
+            find_cluster::find_cluster_budgeted(&local, k, l, meter),
+        )
     }
 
     /// The largest cluster buildable from the *live* part of the local
     /// clustering space, if any of size ≥ 2 exists — the source of partial
     /// results when the full `k` cannot be assembled.
-    pub fn best_partial(
-        &self,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
-    ) -> Option<Vec<NodeId>> {
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < 2 {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let l = classes.distance_of(class_idx);
-        let m = find_cluster::max_cluster_size(&local, l);
-        if m < 2 {
-            return None;
-        }
-        find_cluster::find_cluster(&local, m, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::best_partial`] under a [`WorkMeter`]: both the sizing
-    /// pass and the member search charge the meter. On exhaustion during
-    /// sizing no members are known yet (`best_partial: None`); on
-    /// exhaustion during the search the largest subset seen is reported.
     ///
-    /// With an unexhausted meter the result is bit-identical to the
-    /// unbudgeted variant.
+    /// Both the sizing pass and the member search charge the meter. On
+    /// exhaustion during sizing no members are known yet
+    /// (`best_partial: None`); on exhaustion during the search the largest
+    /// subset seen is reported.
     pub fn best_partial_budgeted(
         &self,
         class_idx: usize,
         classes: &BandwidthClasses,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
+        alive: impl FnMut(NodeId) -> bool,
         meter: &mut WorkMeter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
+        let space = self.live_space(alive);
         if space.len() < 2 {
             return Budgeted::Done(None);
         }
@@ -510,18 +361,17 @@ impl ClusterNode {
         if m < 2 {
             return Budgeted::Done(None);
         }
-        match find_cluster::find_cluster_budgeted(&local, m, l, meter) {
-            Budgeted::Done(r) => {
-                Budgeted::Done(r.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()))
-            }
-            Budgeted::Exhausted {
-                pairs_done,
-                best_partial,
-            } => Budgeted::Exhausted {
-                pairs_done,
-                best_partial: best_partial.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()),
-            },
-        }
+        to_hosts(
+            &space,
+            find_cluster::find_cluster_budgeted(&local, m, l, meter),
+        )
+    }
+
+    /// The hosts of the clustering space that `alive` admits, ascending.
+    fn live_space(&self, mut alive: impl FnMut(NodeId) -> bool) -> Vec<NodeId> {
+        let mut space = self.clustering_space();
+        space.retain(|&u| alive(u));
+        space
     }
 
     /// Algorithm 4, routing half: a neighbor (≠ `exclude`) whose direction
@@ -575,6 +425,24 @@ impl ClusterNode {
     }
 }
 
+/// Maps a kernel's answer over the slots of `space` back to host ids.
+fn to_hosts(
+    space: &[NodeId],
+    found: Budgeted<Option<Vec<usize>>>,
+) -> Budgeted<Option<Vec<NodeId>>> {
+    let hosts = |c: Option<Vec<usize>>| c.map(|idxs| idxs.into_iter().map(|i| space[i]).collect());
+    match found {
+        Budgeted::Done(c) => Budgeted::Done(hosts(c)),
+        Budgeted::Exhausted {
+            pairs_done,
+            best_partial,
+        } => Budgeted::Exhausted {
+            pairs_done,
+            best_partial: hosts(best_partial),
+        },
+    }
+}
+
 /// How a node picks among multiple neighbors whose CRT promises a
 /// satisfying cluster (the paper says "any"; the choice affects hop counts
 /// but never correctness — measured by the `ablations` bench).
@@ -607,6 +475,40 @@ mod tests {
     /// Line metric over ids: d(i, j) = |i − j|.
     fn line_dist(a: NodeId, b: NodeId) -> f64 {
         (a.index() as f64 - b.index() as f64).abs()
+    }
+
+    /// The node-local probe under a meter that never runs dry.
+    fn answer(
+        x: &ClusterNode,
+        k: usize,
+        class_idx: usize,
+        alive: impl FnMut(NodeId) -> bool,
+    ) -> Option<Vec<NodeId>> {
+        let mut meter = WorkMeter::unlimited();
+        match x.answer_locally_filtered_budgeted(
+            k,
+            class_idx,
+            &classes(),
+            line_dist,
+            alive,
+            &mut meter,
+        ) {
+            Budgeted::Done(r) => r,
+            cut => panic!("an unlimited meter never runs dry: {cut:?}"),
+        }
+    }
+
+    /// The best live partial under a meter that never runs dry.
+    fn partial(
+        x: &ClusterNode,
+        class_idx: usize,
+        alive: impl FnMut(NodeId) -> bool,
+    ) -> Option<Vec<NodeId>> {
+        let mut meter = WorkMeter::unlimited();
+        match x.best_partial_budgeted(class_idx, &classes(), line_dist, alive, &mut meter) {
+            Budgeted::Done(r) => r,
+            cut => panic!("an unlimited meter never runs dry: {cut:?}"),
+        }
     }
 
     #[test]
@@ -689,15 +591,12 @@ mod tests {
         x.receive_node_info(n(1), vec![n(1), n(2), n(3)]).unwrap();
         x.recompute_own_max(&classes(), line_dist);
         // Class 1 (b = 50, l = 2): max is 3.
-        let got = x.answer_locally(3, 1, &classes(), line_dist).unwrap();
+        let got = answer(&x, 3, 1, |_| true).unwrap();
         assert_eq!(got.len(), 3);
-        assert!(x.answer_locally(4, 1, &classes(), line_dist).is_none());
-        assert!(x.answer_locally(0, 1, &classes(), line_dist).is_none());
+        assert!(answer(&x, 4, 1, |_| true).is_none());
+        assert!(answer(&x, 0, 1, |_| true).is_none());
         // Class 0 (l = 4): all four fit.
-        assert_eq!(
-            x.answer_locally(4, 0, &classes(), line_dist).unwrap().len(),
-            4
-        );
+        assert_eq!(answer(&x, 4, 0, |_| true).unwrap().len(), 4);
     }
 
     #[test]
@@ -706,7 +605,7 @@ mod tests {
         x.receive_node_info(n(1), vec![n(1), n(2), n(3), n(7), n(8)])
             .unwrap();
         x.recompute_own_max(&classes(), line_dist);
-        let got = x.answer_locally(3, 1, &classes(), line_dist).unwrap();
+        let got = answer(&x, 3, 1, |_| true).unwrap();
         for (i, &a) in got.iter().enumerate() {
             for &b in &got[i + 1..] {
                 assert!(line_dist(a, b) <= 2.0, "pair ({a}, {b}) violates l");
@@ -774,16 +673,10 @@ mod tests {
         x.recompute_own_max(&classes(), line_dist);
         // Class 1 (l = 2) admits {0, 1, 2}; with host 1 dead only pairs
         // remain, so a live 3-cluster no longer exists.
-        let full = x
-            .answer_locally_filtered(3, 1, &classes(), line_dist, |_| true)
-            .unwrap();
+        let full = answer(&x, 3, 1, |_| true).unwrap();
         assert_eq!(full.len(), 3);
-        assert!(x
-            .answer_locally_filtered(3, 1, &classes(), line_dist, |u| u != n(1))
-            .is_none());
-        let pair = x
-            .answer_locally_filtered(2, 1, &classes(), line_dist, |u| u != n(1))
-            .unwrap();
+        assert!(answer(&x, 3, 1, |u| u != n(1)).is_none());
+        let pair = answer(&x, 2, 1, |u| u != n(1)).unwrap();
         assert!(!pair.contains(&n(1)));
     }
 
@@ -792,14 +685,10 @@ mod tests {
         let mut x = ClusterNode::new(n(0), vec![n(1)], 2);
         x.receive_node_info(n(1), vec![n(1), n(2), n(3)]).unwrap();
         x.recompute_own_max(&classes(), line_dist);
-        let partial = x
-            .best_partial(1, &classes(), line_dist, |u| u != n(1))
-            .unwrap();
-        assert_eq!(partial.len(), 2, "live space {{0, 2, 3}} admits a pair");
+        let best = partial(&x, 1, |u| u != n(1)).unwrap();
+        assert_eq!(best.len(), 2, "live space {{0, 2, 3}} admits a pair");
         // Everything dead but the node itself: no partial of size >= 2.
-        assert!(x
-            .best_partial(1, &classes(), line_dist, |u| u == n(0))
-            .is_none());
+        assert!(partial(&x, 1, |u| u == n(0)).is_none());
     }
 
     #[test]

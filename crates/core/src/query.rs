@@ -152,6 +152,16 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// One attempt with no hop limit: the plain Algorithm-4 walk, which
+    /// on a tree overlay ends at a dead end or an answer within `n` hops.
+    pub fn single_attempt() -> Self {
+        RetryPolicy {
+            max_retries: 0,
+            initial_hop_budget: usize::MAX,
+            backoff: 1.0,
+        }
+    }
+
     /// Hop budget of the 0-based `attempt`:
     /// `initial_hop_budget · backoff^attempt`, saturating at `usize::MAX`.
     ///
@@ -173,10 +183,12 @@ impl RetryPolicy {
     }
 }
 
-/// Routes the query `(k, bandwidth)` starting at `start`.
+/// Routes the query `(k, bandwidth)` starting at `start` (Algorithm 4).
 ///
 /// `nodes` maps dense host ids to protocol state; `dist` is the predicted
-/// distance oracle every node consults (labels / prediction tree).
+/// distance oracle every node consults (labels / prediction tree). This
+/// is [`process_query_resilient`] with [`RoutePolicy::FirstFit`],
+/// [`RetryPolicy::single_attempt`] and every host alive.
 ///
 /// # Errors
 ///
@@ -194,7 +206,7 @@ pub fn process_query(
     classes: &BandwidthClasses,
     dist: impl FnMut(NodeId, NodeId) -> f64,
 ) -> Result<QueryOutcome, ClusterError> {
-    process_query_with_policy(
+    process_query_resilient(
         nodes,
         start,
         k,
@@ -202,136 +214,9 @@ pub fn process_query(
         classes,
         dist,
         RoutePolicy::FirstFit,
+        &RetryPolicy::single_attempt(),
+        |_| true,
     )
-}
-
-/// [`process_query`] with an explicit forwarding policy.
-///
-/// # Errors
-///
-/// Same as [`process_query`].
-pub fn process_query_with_policy(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    policy: RoutePolicy,
-) -> Result<QueryOutcome, ClusterError> {
-    let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
-
-    let mut current = start;
-    let mut previous: Option<NodeId> = None;
-    let mut path = vec![start];
-    let mut hops = 0;
-
-    loop {
-        let node = &nodes[current.index()];
-        debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-        if let Some(cluster) = node.answer_locally(k, class_idx, classes, &mut dist) {
-            return Ok(QueryOutcome {
-                cluster: Some(cluster),
-                hops,
-                path,
-                degradation: Degradation::default(),
-            });
-        }
-        match node.route_with_policy(k, class_idx, previous, policy) {
-            Some(next) => {
-                previous = Some(current);
-                current = next;
-                hops += 1;
-                path.push(current);
-                // Safety net: on a tree overlay the no-backtrack walk is a
-                // simple path, so it can never exceed the node count.
-                if hops > nodes.len() {
-                    return Ok(QueryOutcome {
-                        cluster: None,
-                        hops,
-                        path,
-                        degradation: Degradation::default(),
-                    });
-                }
-            }
-            None => {
-                return Ok(QueryOutcome {
-                    cluster: None,
-                    hops,
-                    path,
-                    degradation: Degradation::default(),
-                })
-            }
-        }
-    }
-}
-
-/// [`process_query`] answering each local probe through a per-node
-/// [`crate::ClusterIndex`] over the clustering space
-/// ([`ClusterNode::answer_locally_indexed`]) instead of the pair sweep.
-///
-/// The walk — validation, CRT gates, forwarding, hop accounting — is the
-/// same code shape as [`process_query_with_policy`] with
-/// [`RoutePolicy::FirstFit`], and the indexed local answer is bit-identical
-/// to the swept one, so the outcome (cluster members, hops, path) matches
-/// [`process_query`] exactly; only the local scan cost changes.
-///
-/// # Errors
-///
-/// Same as [`process_query`].
-pub fn process_query_indexed(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
-) -> Result<QueryOutcome, ClusterError> {
-    let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
-
-    let mut current = start;
-    let mut previous: Option<NodeId> = None;
-    let mut path = vec![start];
-    let mut hops = 0;
-
-    loop {
-        let node = &nodes[current.index()];
-        debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-        if let Some(cluster) = node.answer_locally_indexed(k, class_idx, classes, &mut dist) {
-            return Ok(QueryOutcome {
-                cluster: Some(cluster),
-                hops,
-                path,
-                degradation: Degradation::default(),
-            });
-        }
-        match node.route_with_policy(k, class_idx, previous, RoutePolicy::FirstFit) {
-            Some(next) => {
-                previous = Some(current);
-                current = next;
-                hops += 1;
-                path.push(current);
-                // Safety net: on a tree overlay the no-backtrack walk is a
-                // simple path, so it can never exceed the node count.
-                if hops > nodes.len() {
-                    return Ok(QueryOutcome {
-                        cluster: None,
-                        hops,
-                        path,
-                        degradation: Degradation::default(),
-                    });
-                }
-            }
-            None => {
-                return Ok(QueryOutcome {
-                    cluster: None,
-                    hops,
-                    path,
-                    degradation: Degradation::default(),
-                })
-            }
-        }
-    }
 }
 
 /// [`process_query`] hardened against crashed hosts: Algorithm 4 with
@@ -352,8 +237,8 @@ pub fn process_query_indexed(
 ///    live partial cluster seen, plus retry/staleness accounting, in
 ///    [`QueryOutcome::degradation`].
 ///
-/// With a fault-free overlay (`alive` always true) the outcome is identical
-/// to [`process_query_with_policy`] except for hop-budget truncation.
+/// This is [`process_query_resilient_budgeted`] under
+/// [`WorkMeter::unlimited`].
 ///
 /// # Errors
 ///
@@ -383,7 +268,7 @@ pub fn process_query_resilient(
 
 /// Folds a node-level partial into the degradation record, keeping the
 /// largest live cluster seen anywhere along the walk.
-fn keep_partial_of(deg: &mut Degradation, p: Option<Vec<NodeId>>) {
+fn keep_partial(deg: &mut Degradation, p: Option<Vec<NodeId>>) {
     if let Some(p) = p {
         if deg.partial.as_ref().is_none_or(|best| p.len() > best.len()) {
             deg.partial = Some(p);
@@ -391,130 +276,22 @@ fn keep_partial_of(deg: &mut Degradation, p: Option<Vec<NodeId>>) {
     }
 }
 
-/// [`process_query_resilient`] answering each node-local probe through a
-/// per-node [`crate::ClusterIndex`] over the live clustering space
-/// ([`ClusterNode::answer_locally_filtered_indexed`]) instead of the pair
-/// sweep.
+/// The one query walk: [`process_query_resilient`] under a [`WorkMeter`].
+/// Every local cluster search along the walk charges the meter, and the
+/// moment it runs dry the walk stops and reports [`Budgeted::Exhausted`]
+/// carrying the degraded outcome assembled so far (partial cluster, path,
+/// retry accounting).
 ///
-/// The walk — validation, retries, hop budgets, blacklisting, partial
-/// accounting — is the exact code shape of [`process_query_resilient`]
-/// with an unlimited meter, and the indexed local answer is bit-identical
-/// to the swept one, so the outcome matches [`process_query_resilient`]
-/// exactly for every input; only the local scan cost changes. This is the
-/// default execution path of the `bcc-service` batch lanes.
-///
-/// # Errors
-///
-/// Same as [`process_query_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub fn process_query_resilient_indexed(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    policy: RoutePolicy,
-    retry: &RetryPolicy,
-    mut alive: impl FnMut(NodeId) -> bool,
-) -> Result<QueryOutcome, ClusterError> {
-    let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
-    if !alive(start) {
-        return Err(ClusterError::NodeUnavailable {
-            node: start.index(),
-        });
-    }
-
-    let mut deg = Degradation::default();
-    let mut blacklist: Vec<NodeId> = Vec::new();
-    let mut total_hops = 0;
-    let mut full_path = Vec::new();
-
-    for attempt in 0..=retry.max_retries {
-        if attempt > 0 {
-            deg.retries += 1;
-        }
-        let hop_budget = retry.budget_for_attempt(attempt);
-        let mut current = start;
-        let mut previous: Option<NodeId> = None;
-        let mut hops_this_attempt = 0;
-        let mut progress = false; // learned a new dead host this attempt
-        full_path.push(start);
-
-        'walk: loop {
-            let node = &nodes[current.index()];
-            debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-            if let Some(cluster) =
-                node.answer_locally_filtered_indexed(k, class_idx, classes, &mut dist, &mut alive)
-            {
-                deg.partial = None;
-                return Ok(QueryOutcome {
-                    cluster: Some(cluster),
-                    hops: total_hops,
-                    path: full_path,
-                    degradation: deg,
-                });
-            }
-            // The CRT gate promised k here but the live space cannot
-            // deliver it: remember the best live cluster as a fallback.
-            if k <= node.own_max()[class_idx] {
-                deg.stale_state = true;
-                keep_partial_of(
-                    &mut deg,
-                    node.best_partial(class_idx, classes, &mut dist, &mut alive),
-                );
-            }
-            // Pick a live next hop, blacklisting dead ones as discovered
-            // (the reroute-around-dead-neighbors step).
-            loop {
-                match node.route_excluding(k, class_idx, previous, &blacklist, policy) {
-                    Some(next) if !alive(next) => {
-                        blacklist.push(next);
-                        deg.dead_encountered += 1;
-                        deg.stale_state = true;
-                        progress = true;
-                    }
-                    Some(next) => {
-                        previous = Some(current);
-                        current = next;
-                        total_hops += 1;
-                        hops_this_attempt += 1;
-                        full_path.push(current);
-                        if hops_this_attempt >= hop_budget || total_hops > 2 * nodes.len() {
-                            break 'walk; // timeout: abandon this attempt
-                        }
-                        continue 'walk;
-                    }
-                    None => break 'walk, // dead end: nothing eligible
-                }
-            }
-        }
-
-        // A clean dead end with no new liveness knowledge would replay the
-        // exact same walk: further retries are pointless.
-        if !progress && hops_this_attempt < hop_budget {
-            break;
-        }
-    }
-
-    Ok(QueryOutcome {
-        cluster: None,
-        hops: total_hops,
-        path: full_path,
-        degradation: deg,
-    })
-}
-
-/// [`process_query_resilient`] under a [`WorkMeter`]: every local cluster
-/// search along the walk charges the meter, and the moment it runs dry the
-/// walk stops and reports [`Budgeted::Exhausted`] carrying the degraded
-/// outcome assembled so far (partial cluster, path, retry accounting).
+/// Each node-local probe is Algorithm 1's row-major pair sweep over the
+/// node's live clustering space
+/// ([`ClusterNode::answer_locally_filtered_budgeted`]). The CRT gate only
+/// admits a probe when the node's own `aggrCRT` entry promises `k`, so on
+/// a converged overlay the probe succeeds and the sweep stops at the
+/// first pair that works.
 ///
 /// Work is charged in pairs examined by the node-local kernels — a
 /// deterministic quantity — so where the walk is cut depends only on the
-/// overlay state and the budget, never on wall-clock or thread count. With
-/// a meter that never exhausts the result is bit-identical to
-/// [`process_query_resilient`] (which is implemented on top of this).
+/// overlay state and the budget, never on wall-clock or thread count.
 ///
 /// # Errors
 ///
@@ -544,15 +321,18 @@ pub fn process_query_resilient_budgeted(
     let mut total_hops = 0;
     let mut full_path = Vec::new();
 
-    // Folds a node-level partial into the degradation record, keeping the
-    // largest live cluster seen anywhere along the walk.
-    fn keep_partial(deg: &mut Degradation, p: Option<Vec<NodeId>>) {
-        if let Some(p) = p {
-            if deg.partial.as_ref().is_none_or(|best| p.len() > best.len()) {
-                deg.partial = Some(p);
-            }
-        }
-    }
+    // The degraded outcome reported when the meter runs dry mid-walk.
+    let cut = |meter: &WorkMeter, hops, path, degradation| {
+        Ok(Budgeted::Exhausted {
+            pairs_done: meter.used(),
+            best_partial: QueryOutcome {
+                cluster: None,
+                hops,
+                path,
+                degradation,
+            },
+        })
+    };
 
     for attempt in 0..=retry.max_retries {
         if attempt > 0 {
@@ -573,15 +353,7 @@ pub fn process_query_resilient_budgeted(
             // cost this refuses immediately — the budgeted analogue of
             // a deadline that has already expired.
             if !meter.charge(1) {
-                return Ok(Budgeted::Exhausted {
-                    pairs_done: meter.used(),
-                    best_partial: QueryOutcome {
-                        cluster: None,
-                        hops: total_hops,
-                        path: full_path,
-                        degradation: deg,
-                    },
-                });
+                return cut(meter, total_hops, full_path, deg);
             }
             let node = &nodes[current.index()];
             debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
@@ -600,15 +372,7 @@ pub fn process_query_resilient_budgeted(
                 Budgeted::Done(None) => {}
                 Budgeted::Exhausted { best_partial, .. } => {
                     keep_partial(&mut deg, best_partial);
-                    return Ok(Budgeted::Exhausted {
-                        pairs_done: meter.used(),
-                        best_partial: QueryOutcome {
-                            cluster: None,
-                            hops: total_hops,
-                            path: full_path,
-                            degradation: deg,
-                        },
-                    });
+                    return cut(meter, total_hops, full_path, deg);
                 }
             }
             // The CRT gate promised k here but the live space cannot
@@ -619,15 +383,7 @@ pub fn process_query_resilient_budgeted(
                     Budgeted::Done(p) => keep_partial(&mut deg, p),
                     Budgeted::Exhausted { best_partial, .. } => {
                         keep_partial(&mut deg, best_partial);
-                        return Ok(Budgeted::Exhausted {
-                            pairs_done: meter.used(),
-                            best_partial: QueryOutcome {
-                                cluster: None,
-                                hops: total_hops,
-                                path: full_path,
-                                degradation: deg,
-                            },
-                        });
+                        return cut(meter, total_hops, full_path, deg);
                     }
                 }
             }
@@ -675,7 +431,7 @@ pub fn process_query_resilient_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_metric::RationalTransform;
+    use bcc_metric::{DistanceMatrix, RationalTransform};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -737,26 +493,57 @@ mod tests {
         assert_eq!(cluster.len(), 2);
     }
 
+    /// Algorithm 1 run directly on `node`'s live clustering space: the
+    /// reference the walk's node-local probe is pinned against.
+    fn algorithm_1_at(
+        node: &ClusterNode,
+        k: usize,
+        alive: &dyn Fn(NodeId) -> bool,
+    ) -> Option<Vec<NodeId>> {
+        let space: Vec<NodeId> = node
+            .clustering_space()
+            .into_iter()
+            .filter(|&u| alive(u))
+            .collect();
+        let local = DistanceMatrix::from_fn(space.len(), |i, j| line_dist(space[i], space[j]));
+        crate::find_cluster(&local, k, classes().distance_of(0))
+            .map(|c| c.into_iter().map(|i| space[i]).collect())
+    }
+
+    /// A found answer is Algorithm 1's answer at the node that gave it; a
+    /// miss means no gated node on the path could build `k` live hosts.
+    fn assert_matches_reference(
+        nodes: &[ClusterNode],
+        out: &QueryOutcome,
+        k: usize,
+        alive: &dyn Fn(NodeId) -> bool,
+    ) {
+        match &out.cluster {
+            Some(cluster) => {
+                let at = out.path.last().expect("a path starts at the entry node");
+                assert_eq!(
+                    Some(cluster),
+                    algorithm_1_at(&nodes[at.index()], k, alive).as_ref()
+                );
+            }
+            None => {
+                for u in &out.path {
+                    let node = &nodes[u.index()];
+                    assert!(k > node.own_max()[0] || algorithm_1_at(node, k, alive).is_none());
+                }
+            }
+        }
+    }
+
     #[test]
-    fn indexed_query_identical_to_swept() {
+    fn query_answer_is_algorithm_1_at_the_answering_node() {
         let nodes = path_overlay();
         for start in 0..4 {
             for k in 2..=4 {
-                let swept = process_query(&nodes, n(start), k, 50.0, &classes(), line_dist);
-                let indexed =
-                    process_query_indexed(&nodes, n(start), k, 50.0, &classes(), line_dist);
-                assert_eq!(swept, indexed, "start={start} k={k}");
+                let out = process_query(&nodes, n(start), k, 50.0, &classes(), line_dist).unwrap();
+                assert_matches_reference(&nodes, &out, k, &|_| true);
             }
         }
-        // Validation errors surface identically too.
-        assert!(matches!(
-            process_query_indexed(&nodes, n(0), 1, 50.0, &classes(), line_dist),
-            Err(ClusterError::InvalidSizeConstraint { .. })
-        ));
-        assert!(matches!(
-            process_query_indexed(&nodes, n(9), 2, 50.0, &classes(), line_dist),
-            Err(ClusterError::UnknownNeighbor { .. })
-        ));
     }
 
     #[test]
@@ -886,9 +673,18 @@ mod tests {
             RoutePolicy::BestFit,
             RoutePolicy::TightestFit,
         ] {
-            let out =
-                process_query_with_policy(&nodes, n(0), 2, 50.0, &classes(), line_dist, policy)
-                    .unwrap();
+            let out = process_query_resilient(
+                &nodes,
+                n(0),
+                2,
+                50.0,
+                &classes(),
+                line_dist,
+                policy,
+                &RetryPolicy::single_attempt(),
+                |_| true,
+            )
+            .unwrap();
             assert!(out.found(), "policy {policy:?}");
         }
     }
@@ -917,20 +713,16 @@ mod tests {
     }
 
     #[test]
-    fn resilient_indexed_identical_to_swept() {
-        // Fault-free and faulty overlays alike: the indexed resilient walk
-        // must reproduce the pair-sweep walk bit for bit, including the
-        // degradation record.
+    fn resilient_answer_is_algorithm_1_on_the_live_space() {
+        // Fault-free and faulty overlays alike: every answer is the pair
+        // sweep's answer over the answering node's live clustering space.
         let nodes = path_overlay();
         let alive_sets: [&dyn Fn(NodeId) -> bool; 3] =
             [&|_| true, &|u| u != n(2), &|u| u != n(1) && u != n(2)];
-        for (which, alive) in alive_sets.iter().enumerate() {
-            for start in 0..4 {
-                if !alive(n(start)) {
-                    continue;
-                }
+        for alive in alive_sets {
+            for start in (0..4).filter(|&s| alive(n(s))) {
                 for k in 2..=4 {
-                    let swept = process_query_resilient(
+                    let out = process_query_resilient(
                         &nodes,
                         n(start),
                         k,
@@ -940,51 +732,12 @@ mod tests {
                         RoutePolicy::FirstFit,
                         &RetryPolicy::default(),
                         alive,
-                    );
-                    let indexed = process_query_resilient_indexed(
-                        &nodes,
-                        n(start),
-                        k,
-                        50.0,
-                        &classes(),
-                        line_dist,
-                        RoutePolicy::FirstFit,
-                        &RetryPolicy::default(),
-                        alive,
-                    );
-                    assert_eq!(swept, indexed, "alive set {which}, start={start} k={k}");
+                    )
+                    .unwrap();
+                    assert_matches_reference(&nodes, &out, k, alive);
                 }
             }
         }
-        // Error paths surface identically too.
-        assert!(matches!(
-            process_query_resilient_indexed(
-                &nodes,
-                n(0),
-                2,
-                50.0,
-                &classes(),
-                line_dist,
-                RoutePolicy::FirstFit,
-                &RetryPolicy::default(),
-                |u| u != n(0),
-            ),
-            Err(ClusterError::NodeUnavailable { node: 0 })
-        ));
-        assert!(matches!(
-            process_query_resilient_indexed(
-                &nodes,
-                n(0),
-                1,
-                50.0,
-                &classes(),
-                line_dist,
-                RoutePolicy::FirstFit,
-                &RetryPolicy::default(),
-                |_| true,
-            ),
-            Err(ClusterError::InvalidSizeConstraint { .. })
-        ));
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! maintenance and from-scratch rebuilds.
 
 use bcc_core::{
-    find_cluster, find_cluster_indexed, find_cluster_indexed_budgeted, find_cluster_indexed_par,
-    max_cluster_size, max_cluster_size_indexed, max_cluster_size_indexed_budgeted,
-    max_cluster_size_indexed_par, Budgeted, ClusterIndex, WorkMeter,
+    find_cluster, find_cluster_indexed, find_cluster_indexed_par, max_cluster_size,
+    max_cluster_size_indexed, max_cluster_size_indexed_par, ClusterIndex,
 };
 use bcc_metric::DistanceMatrix;
 use proptest::prelude::*;
@@ -109,32 +108,6 @@ proptest! {
         let index = ClusterIndex::from_metric(&d);
         prop_assert_eq!(find_cluster_indexed(&d, &index, k, l), find_cluster(&d, k, l));
         prop_assert_eq!(max_cluster_size_indexed(&d, &index, l), max_cluster_size(&d, l));
-    }
-
-    #[test]
-    fn budgeted_indexed_with_headroom_equals_unbudgeted(
-        d in arb_any_metric(10),
-        k in 2usize..5,
-        l in 1.0f64..150.0,
-    ) {
-        let index = ClusterIndex::from_metric(&d);
-        let mut meter = WorkMeter::unlimited();
-        prop_assert_eq!(
-            find_cluster_indexed_budgeted(&d, &index, k, l, &mut meter),
-            Budgeted::Done(find_cluster_indexed(&d, &index, k, l))
-        );
-        let mut meter = WorkMeter::unlimited();
-        prop_assert_eq!(
-            max_cluster_size_indexed_budgeted(&d, &index, l, &mut meter),
-            Budgeted::Done(max_cluster_size_indexed(&d, &index, l))
-        );
-        // Replay determinism under a tight budget: same cut, same partial.
-        let mut a = WorkMeter::new(24);
-        let mut b = WorkMeter::new(24);
-        let ra = find_cluster_indexed_budgeted(&d, &index, k, l, &mut a);
-        let rb = find_cluster_indexed_budgeted(&d, &index, k, l, &mut b);
-        prop_assert_eq!(ra, rb);
-        prop_assert_eq!(a.used(), b.used());
     }
 
     #[test]

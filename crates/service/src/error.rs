@@ -7,11 +7,11 @@ use bcc_simnet::PersistError;
 
 /// An error from the serving front end.
 ///
-/// Per-query *execution* failures (submit node crashed mid-flight, no
-/// overlay yet) are not errors of the service itself: they surface inside
-/// the corresponding [`crate::ServiceResponse`]. `ServiceError` covers the
-/// admission boundary — requests the service refuses to even enqueue — and
-/// configuration mistakes.
+/// Per-query *execution* failures (submit node crashed mid-flight, or not
+/// a member of the overlay) are not errors of the service itself: they
+/// surface inside the corresponding [`crate::ServiceResponse`].
+/// `ServiceError` covers the admission boundary — requests the service
+/// refuses to even enqueue — and configuration mistakes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The admission controller shed the request: the bounded in-flight

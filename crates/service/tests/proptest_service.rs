@@ -3,10 +3,12 @@
 //! uncached baseline return **bit-identical** responses, and repeated runs
 //! are deterministic.
 
-use bcc_metric::NodeId;
+use bcc_core::find_cluster;
+use bcc_metric::{DistanceMatrix, NodeId};
 use bcc_service::{
-    seeded_service, BreakerState, ClusterQuery, ClusterService, ExecMode, ServiceConfig, Tier,
+    seeded_service, BreakerState, ClusterQuery, ClusterService, ServiceConfig, Tier,
 };
+use bcc_simnet::fw_label_dist;
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -93,6 +95,64 @@ fn assert_same_responses(
             }
             (Err(c), Err(u)) => assert_eq!(c, u),
             (c, u) => panic!("verdicts diverged: {c:?} vs {u:?}"),
+        }
+    }
+}
+
+/// Algorithm 1 run directly on `at`'s live clustering space under the
+/// system's label metric: the reference the one query walk is pinned
+/// against.
+fn algorithm_1_at(
+    service: &ClusterService,
+    at: NodeId,
+    k: usize,
+    class_idx: usize,
+) -> Option<Vec<NodeId>> {
+    let system = service.system();
+    let net = system.network().expect("a member answered");
+    let space: Vec<NodeId> = net.nodes()[at.index()]
+        .clustering_space()
+        .into_iter()
+        .filter(|&u| !net.is_down(u))
+        .collect();
+    let fw = system.framework();
+    let local = DistanceMatrix::from_fn(space.len(), |i, j| {
+        fw_label_dist(fw, space[i].index() as u32, space[j].index() as u32)
+    });
+    let l = system.config().protocol.classes.distance_of(class_idx);
+    find_cluster(&local, k, l).map(|c| c.into_iter().map(|i| space[i]).collect())
+}
+
+/// Checks every exact answer in `responses` against [`algorithm_1_at`]: a
+/// found cluster is the reference answer at the node that gave it, and a
+/// miss means no node on the path both passed its CRT gate and could
+/// build `k` hosts.
+fn assert_matches_algorithm_1(
+    service: &ClusterService,
+    responses: &[Result<bcc_service::ServiceResponse, bcc_service::ServiceError>],
+) {
+    let net = service.system().network();
+    for r in responses.iter().flatten() {
+        let Ok(outcome) = &r.outcome else { continue };
+        assert_eq!(r.tier, Tier::Exact, "unbudgeted answers are exact");
+        let (k, class_idx) = (r.query.k, r.class_idx);
+        match &outcome.cluster {
+            Some(cluster) => {
+                let at = *outcome.path.last().expect("a walk visits its entry node");
+                assert_eq!(
+                    Some(cluster),
+                    algorithm_1_at(service, at, k, class_idx).as_ref()
+                );
+            }
+            None => {
+                let nodes = net.expect("a member answered").nodes();
+                for &u in &outcome.path {
+                    assert!(
+                        k > nodes[u.index()].own_max()[class_idx]
+                            || algorithm_1_at(service, u, k, class_idx).is_none()
+                    );
+                }
+            }
         }
     }
 }
@@ -263,14 +323,11 @@ proptest! {
         bcc_par::set_threads(0);
     }
 
-    /// The default indexed executor and the pair-sweep oracle return
-    /// bit-identical responses — including under mid-workload churn —
-    /// for any thread count. This is ROADMAP item 2c's safety net: the
-    /// service may route unbudgeted lanes through
-    /// [`bcc_core::process_query_resilient_indexed`] precisely because
-    /// nothing downstream can tell.
+    /// Every answer the batch lanes compute is Algorithm 1's answer over
+    /// the answering node's live clustering space — including under
+    /// mid-workload churn, for any thread count.
     #[test]
-    fn indexed_exec_matches_pair_sweep(
+    fn answers_are_algorithm_1_at_the_answering_node(
         seed in 0u64..1_000,
         first in arb_workload(10, 12),
         second in arb_workload(10, 12),
@@ -278,27 +335,12 @@ proptest! {
     ) {
         for threads in THREADS {
             bcc_par::set_threads(threads);
-            let mut indexed = service_with(seed, 10, 6, ServiceConfig::default());
-            let mut swept = service_with(
-                seed,
-                10,
-                6,
-                ServiceConfig {
-                    exec: ExecMode::PairSweep,
-                    ..ServiceConfig::default()
-                },
-            );
-            let i1 = run_workload(&mut indexed, &first);
-            let s1 = run_workload(&mut swept, &first);
-            assert_same_responses(&i1, &s1);
-
-            let a = indexed.crash(NodeId::new(crash_host));
-            let b = swept.crash(NodeId::new(crash_host));
-            prop_assert_eq!(a.is_ok(), b.is_ok());
-
-            let i2 = run_workload(&mut indexed, &second);
-            let s2 = run_workload(&mut swept, &second);
-            assert_same_responses(&i2, &s2);
+            let mut service = service_with(seed, 10, 6, ServiceConfig::default());
+            let r1 = run_workload(&mut service, &first);
+            assert_matches_algorithm_1(&service, &r1);
+            let _ = service.crash(NodeId::new(crash_host));
+            let r2 = run_workload(&mut service, &second);
+            assert_matches_algorithm_1(&service, &r2);
         }
         bcc_par::set_threads(0);
     }

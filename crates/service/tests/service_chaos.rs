@@ -63,6 +63,19 @@ fn crash_between_identical_queries_forces_recompute() {
 }
 
 #[test]
+fn queries_at_non_members_fail_and_are_never_cached() {
+    let mut service = verified_service(11, 8);
+    service.leave(NodeId::new(4)).expect("leave an active host");
+    // Host 6 never joined; host 4 has left.
+    for host in [6, 6, 4, 4] {
+        let r = serve_one(&mut service, ClusterQuery::new(NodeId::new(host), 2, 20.0));
+        assert!(r.outcome.is_err(), "host {host}: {:?}", r.outcome);
+        assert!(!r.cached);
+    }
+    assert_eq!(service.cache_stats().inserted, 0);
+}
+
+#[test]
 fn join_between_identical_queries_forces_recompute() {
     let mut service = verified_service(23, 8);
     let query = ClusterQuery::new(NodeId::new(1), 3, 20.0);

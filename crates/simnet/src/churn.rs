@@ -555,57 +555,43 @@ impl DynamicSystem {
         self.last_convergence_rounds
     }
 
+    /// The overlay a query submitted at `start` walks, after the same
+    /// membership check [`DynamicSystem::cluster_near`] makes.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::NodeUnavailable`] when `start` is crashed, and
+    /// [`ClusterError::UnknownNeighbor`] when `start` never joined or has
+    /// left.
+    fn entry_network(&self, start: NodeId) -> Result<&SimNetwork, ClusterError> {
+        if self.crashed.contains(&start) {
+            return Err(ClusterError::NodeUnavailable {
+                node: start.index(),
+            });
+        }
+        match &self.network {
+            Some(net) if self.active.contains(&start) => Ok(net),
+            _ => Err(ClusterError::UnknownNeighbor {
+                neighbor: start.index(),
+            }),
+        }
+    }
+
     /// Decentralized query against the current membership.
     ///
     /// # Errors
     ///
     /// [`ClusterError::NodeUnavailable`] when submitted at a crashed host,
-    /// [`ClusterError::UnknownNeighbor`] when no host has joined yet, plus
-    /// the usual validation errors of [`bcc_core::process_query`].
+    /// [`ClusterError::UnknownNeighbor`] when submitted at a host that is
+    /// not a member, plus the usual validation errors of
+    /// [`bcc_core::process_query`].
     pub fn query(
         &self,
         start: NodeId,
         k: usize,
         bandwidth: f64,
     ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query(start, k, bandwidth),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
-    }
-
-    /// [`DynamicSystem::query`] with every node's local probe answered
-    /// through a per-node cluster index
-    /// (see [`bcc_core::process_query_indexed`]): bit-identical outcomes,
-    /// sub-cubic local scans.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DynamicSystem::query`].
-    pub fn query_indexed(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-    ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query_indexed(start, k, bandwidth),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        self.entry_network(start)?.query(start, k, bandwidth)
     }
 
     /// Failure-aware query with retry/backoff and degradation reporting
@@ -621,23 +607,13 @@ impl DynamicSystem {
         bandwidth: f64,
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query_resilient(start, k, bandwidth, retry),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        self.entry_network(start)?
+            .query_resilient(start, k, bandwidth, retry)
     }
 
-    /// [`DynamicSystem::query_resilient`] with every node's local probe
-    /// answered through a per-call cluster index (see
-    /// [`bcc_core::process_query_resilient_indexed`]): bit-identical
-    /// outcomes, sub-cubic local scans.
+    /// Alias of [`DynamicSystem::query_resilient`]. The name stays because
+    /// the lifecycle benchmark in `perfbench/` calls it, and that
+    /// benchmark's sources are frozen so runs stay comparable.
     ///
     /// # Errors
     ///
@@ -649,17 +625,7 @@ impl DynamicSystem {
         bandwidth: f64,
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query_resilient_indexed(start, k, bandwidth, retry),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        self.query_resilient(start, k, bandwidth, retry)
     }
 
     /// Region-scoped query: `k` active hosts with predicted pairwise
@@ -730,20 +696,9 @@ impl DynamicSystem {
         retry: &RetryPolicy,
         budget: u64,
     ) -> Result<Budgeted<QueryOutcome>, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => {
-                let mut meter = WorkMeter::with_cost(budget, self.work_cost);
-                net.query_resilient_budgeted(start, k, bandwidth, retry, &mut meter)
-            }
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        let mut meter = WorkMeter::with_cost(budget, self.work_cost);
+        self.entry_network(start)?
+            .query_resilient_budgeted(start, k, bandwidth, retry, &mut meter)
     }
 
     /// The current overlay, if any host is active.
@@ -1372,30 +1327,39 @@ mod tests {
     }
 
     #[test]
-    fn resilient_indexed_matches_pair_sweep_under_churn() {
+    fn queries_at_non_members_are_rejected_like_cluster_near() {
         let mut s = dynamic();
-        for i in 0..6 {
+        for i in 0..5 {
             s.join(n(i)).unwrap();
         }
         s.leave(n(4)).unwrap();
-        s.crash(n(5)).unwrap();
+        s.crash(n(3)).unwrap();
         let retry = RetryPolicy::default();
-        for start in 0..4 {
-            for k in 2..=4 {
-                for bw in [40.0, 80.0] {
-                    assert_eq!(
-                        s.query_resilient(n(start), k, bw, &retry),
-                        s.query_resilient_indexed(n(start), k, bw, &retry),
-                        "start={start} k={k} bw={bw}"
-                    );
-                }
-            }
+        // Host 5 never joined and host 4 has left: no entry point may
+        // answer `Ok` with an empty walk, which a cache would keep as exact.
+        for (host, err) in [
+            (5, ClusterError::UnknownNeighbor { neighbor: 5 }),
+            (4, ClusterError::UnknownNeighbor { neighbor: 4 }),
+            (3, ClusterError::NodeUnavailable { node: 3 }),
+        ] {
+            let start = n(host);
+            assert_eq!(s.cluster_near(start, 2, 40.0), Err(err.clone()));
+            assert_eq!(s.query(start, 2, 40.0), Err(err.clone()));
+            assert_eq!(s.query_resilient(start, 2, 40.0, &retry), Err(err.clone()));
+            assert_eq!(
+                s.query_resilient_indexed(start, 2, 40.0, &retry),
+                Err(err.clone())
+            );
+            assert_eq!(s.query_budgeted(start, 2, 40.0, &retry, 1_000), Err(err));
         }
-        // Error paths align too.
-        assert!(matches!(
-            s.query_resilient_indexed(n(5), 2, 40.0, &retry),
-            Err(ClusterError::NodeUnavailable { node: 5 })
-        ));
+        // Members still answer.
+        for start in 0..3 {
+            assert!(s.query(n(start), 2, 80.0).unwrap().found());
+            assert!(s
+                .query_resilient(n(start), 2, 80.0, &retry)
+                .unwrap()
+                .found());
+        }
     }
 
     #[test]

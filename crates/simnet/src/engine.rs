@@ -23,9 +23,8 @@ use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 use bcc_core::{
-    process_query, process_query_resilient, process_query_resilient_budgeted,
-    process_query_resilient_indexed, Budgeted, ClusterNode, ProtocolConfig, QueryOutcome,
-    RetryPolicy, RoutePolicy, WorkMeter,
+    process_query, process_query_resilient, process_query_resilient_budgeted, Budgeted,
+    ClusterNode, ProtocolConfig, QueryOutcome, RetryPolicy, RoutePolicy, WorkMeter,
 };
 use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
@@ -503,30 +502,6 @@ impl SimNetwork {
         )
     }
 
-    /// [`SimNetwork::query`] answering each node's local probe through a
-    /// [`bcc_core::ClusterIndex`] over its clustering space (see
-    /// [`bcc_core::process_query_indexed`]) — the outcome is bit-identical
-    /// to [`SimNetwork::query`]; only the per-node scan cost changes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SimNetwork::query`].
-    pub fn query_indexed(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-    ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        bcc_core::process_query_indexed(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.classes,
-            self.predicted_dist(),
-        )
-    }
-
     /// [`SimNetwork::query`] with an explicit forwarding policy.
     ///
     /// # Errors
@@ -539,7 +514,7 @@ impl SimNetwork {
         bandwidth: f64,
         policy: bcc_core::RoutePolicy,
     ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        bcc_core::process_query_with_policy(
+        process_query_resilient(
             &self.nodes,
             start,
             k,
@@ -547,6 +522,8 @@ impl SimNetwork {
             &self.config.classes,
             self.predicted_dist(),
             policy,
+            &RetryPolicy::single_attempt(),
+            |_| true,
         )
     }
 
@@ -566,35 +543,6 @@ impl SimNetwork {
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, bcc_core::ClusterError> {
         process_query_resilient(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.classes,
-            self.predicted_dist(),
-            RoutePolicy::FirstFit,
-            retry,
-            |u| !self.is_down(u),
-        )
-    }
-
-    /// [`SimNetwork::query_resilient`] with every node's local probe
-    /// answered through a per-call [`bcc_core::ClusterIndex`] over its
-    /// alive-filtered clustering space (see
-    /// [`bcc_core::process_query_resilient_indexed`]) — bit-identical
-    /// outcomes, sub-cubic local scans.
-    ///
-    /// # Errors
-    ///
-    /// See [`bcc_core::process_query_resilient`].
-    pub fn query_resilient_indexed(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-        retry: &RetryPolicy,
-    ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        process_query_resilient_indexed(
             &self.nodes,
             start,
             k,

@@ -1,7 +1,7 @@
 //! Property tests for the simulated overlay: convergence, determinism, and
 //! query-answer validity on randomized datasets.
 
-use bcc_core::{BandwidthClasses, ProtocolConfig};
+use bcc_core::{BandwidthClasses, Budgeted, ProtocolConfig, WorkMeter};
 use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
 use bcc_simnet::{ClusterSystem, SimNetwork, SystemConfig};
@@ -100,6 +100,36 @@ proptest! {
             if let Some(cluster) = out.cluster {
                 let (wrong, _) = sys.score_cluster(&cluster, b);
                 prop_assert_eq!(wrong, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn crt_gate_admits_only_satisfiable_probes(bw in arb_bandwidth(14)) {
+        // On a converged, fault-free overlay every node-local probe the
+        // routing-table gate admits (k ≤ own_max) finds a cluster. The
+        // query walk answers these probes with the first-hit pair sweep
+        // rather than an index because of this fact.
+        let d = RationalTransform::default().distance_matrix(&bw);
+        let fw = PredictionFramework::build_from_matrix(&d, FrameworkConfig::default());
+        let predicted = fw.predicted_matrix();
+        let proto = ProtocolConfig::new(4, classes());
+        let mut net = SimNetwork::new(fw.anchor(), predicted.clone(), proto);
+        net.run_to_convergence(300).expect("gossip converges");
+        let dist = |a: NodeId, b: NodeId| predicted.get(a.index(), b.index());
+        for node in net.nodes() {
+            for (class_idx, &own_max) in node.own_max().iter().enumerate() {
+                for k in 2..=own_max {
+                    let mut meter = WorkMeter::unlimited();
+                    let probe = node.answer_locally_filtered_budgeted(
+                        k, class_idx, &classes(), dist, |_| true, &mut meter,
+                    );
+                    prop_assert!(
+                        matches!(probe, Budgeted::Done(Some(ref c)) if c.len() == k),
+                        "node {} class {class_idx} k={k} (own_max {own_max}): {probe:?}",
+                        node.id()
+                    );
+                }
             }
         }
     }
