@@ -22,6 +22,7 @@ use bcc_metric::{DistanceMatrix, NodeId};
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
 use crate::find_cluster::{self, Budgeted, WorkMeter};
+use crate::index::{max_cluster_size_indexed, ClusterIndex};
 
 /// Configuration shared by every node of a clustering overlay.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,14 +141,20 @@ impl ClusterNode {
         cand.dedup();
         cand.retain(|&u| u != to);
         // Top n_cut by predicted distance to `to`; ties break by id so the
-        // protocol is deterministic.
+        // protocol is deterministic. `(d, id)` totally orders distinct ids,
+        // so selecting the n_cut smallest and sorting only those yields the
+        // same list as a full sort.
         let mut keyed: Vec<(f64, NodeId)> = cand.into_iter().map(|u| (dist(to, u), u)).collect();
-        keyed.sort_by(|a, b| {
+        let cmp = |a: &(f64, NodeId), b: &(f64, NodeId)| {
             a.0.partial_cmp(&b.0)
                 .expect("distances are comparable")
                 .then(a.1.cmp(&b.1))
-        });
-        keyed.truncate(n_cut);
+        };
+        if keyed.len() > n_cut {
+            keyed.select_nth_unstable_by(n_cut, cmp);
+            keyed.truncate(n_cut);
+        }
+        keyed.sort_unstable_by(cmp);
         Ok(keyed.into_iter().map(|(_, u)| u).collect())
     }
 
@@ -183,7 +190,11 @@ impl ClusterNode {
     }
 
     /// Algorithm 3, line 8: recomputes `aggrCRT[x][l]` for every class by
-    /// running the centralized search over the local clustering space.
+    /// running the centralized max-size search over the local clustering
+    /// space. One [`ClusterIndex`] over the space serves every class, so a
+    /// recompute costs one `O(m² log m)` build plus the pruned
+    /// branch-and-bound of [`max_cluster_size_indexed`], whose answer equals
+    /// Algorithm 1's pair sweep exactly.
     pub fn recompute_own_max(
         &mut self,
         classes: &BandwidthClasses,
@@ -191,10 +202,11 @@ impl ClusterNode {
     ) {
         let space = self.clustering_space();
         let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
+        let index = ClusterIndex::from_metric(&local);
         self.own_max = classes
             .distances()
             .iter()
-            .map(|&l| find_cluster::max_cluster_size(&local, l))
+            .map(|&l| max_cluster_size_indexed(&local, &index, l))
             .collect();
     }
 

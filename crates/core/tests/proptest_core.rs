@@ -2,9 +2,9 @@
 
 use bcc_core::{
     diameter, exists_cluster_brute_force, find_cluster, find_cluster_euclidean,
-    find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search, PairOrder,
+    find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search, ClusterNode, PairOrder,
 };
-use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric};
+use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, NodeId};
 use proptest::prelude::*;
 
 /// Random tree metric from a random parent array + edge weights.
@@ -124,6 +124,38 @@ proptest! {
         }
         if m < d.len() {
             prop_assert!(find_cluster(&d, m + 1, l).is_none());
+        }
+    }
+
+    #[test]
+    fn node_info_matches_full_sort_at_every_cut(
+        records in proptest::collection::vec(proptest::collection::vec(0usize..24, 0..12), 3),
+        table in proptest::collection::vec(0u8..4, 24 * 24),
+    ) {
+        // Host 0 reports to neighbor 1 over neighbors 1..=3. Distances take
+        // four integer values, so most cuts fall inside a run of ties and
+        // only the id tie-break decides who is kept.
+        let dist = |a: NodeId, b: NodeId| {
+            let (i, j) = (a.index().min(b.index()), a.index().max(b.index()));
+            if i == j { 0.0 } else { f64::from(table[i * 24 + j]) }
+        };
+        let (x, to) = (NodeId::new(0), NodeId::new(1));
+        let mut node = ClusterNode::new(x, (1..=3).map(NodeId::new).collect(), 1);
+        for (v, record) in (1..=3).zip(&records) {
+            node.receive_node_info(NodeId::new(v), record.iter().map(|&u| NodeId::new(u)).collect())
+                .unwrap();
+        }
+        let mut reference: Vec<NodeId> = std::iter::once(x)
+            .chain(records[1..].iter().flatten().map(|&u| NodeId::new(u)))
+            .filter(|&u| u != to)
+            .collect();
+        reference.sort_unstable();
+        reference.dedup();
+        reference.sort_by(|&a, &b| dist(to, a).total_cmp(&dist(to, b)).then(a.cmp(&b)));
+        for n_cut in 1..=reference.len() + 1 {
+            let info = node.node_info_for(to, n_cut, dist).unwrap();
+            let expected = &reference[..n_cut.min(reference.len())];
+            prop_assert_eq!(info.as_slice(), expected, "n_cut={}", n_cut);
         }
     }
 

@@ -61,6 +61,17 @@ fn arb_any_metric(max: usize) -> impl Strategy<Value = DistanceMatrix> {
         })
 }
 
+/// A symmetric matrix with distances in `1..=4`: long runs of equal
+/// distances, so row scans cross tie runs at every threshold.
+fn arb_tied_metric(max: usize) -> impl Strategy<Value = DistanceMatrix> {
+    (2usize..=max)
+        .prop_flat_map(|n| (Just(n), proptest::collection::vec(1u8..=4, n * (n - 1) / 2)))
+        .prop_map(|(n, values)| {
+            let mut it = values.into_iter();
+            DistanceMatrix::from_fn(n, |_, _| f64::from(it.next().unwrap()))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -100,6 +111,7 @@ proptest! {
     #[test]
     fn indexed_bit_identical_on_arbitrary_metrics(
         d in arb_any_metric(12),
+        tied in arb_tied_metric(12),
         k in 2usize..6,
         l in 1.0f64..150.0,
     ) {
@@ -108,6 +120,15 @@ proptest! {
         let index = ClusterIndex::from_metric(&d);
         prop_assert_eq!(find_cluster_indexed(&d, &index, k, l), find_cluster(&d, k, l));
         prop_assert_eq!(max_cluster_size_indexed(&d, &index, l), max_cluster_size(&d, l));
+        // Every threshold of the tied matrix lands on a run of equal
+        // distances.
+        let index = ClusterIndex::from_metric(&tied);
+        for l in [1.0, 2.0, 3.0, 4.0] {
+            prop_assert_eq!(
+                max_cluster_size_indexed(&tied, &index, l), max_cluster_size(&tied, l),
+                "tied max l={}", l
+            );
+        }
     }
 
     #[test]
