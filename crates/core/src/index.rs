@@ -31,6 +31,8 @@
 //! to a from-scratch rebuild of the same membership — the invariant the
 //! chaos harness asserts after every churn schedule.
 
+use std::sync::OnceLock;
+
 use bcc_metric::FiniteMetric;
 
 use crate::find_cluster::{check_pair, check_pair_rows, PAR_SERIAL_CUTOFF};
@@ -143,10 +145,12 @@ pub struct ClusterIndex {
     /// `id -> slot`, [`ABSENT`] when not a member.
     slot_of: Vec<u32>,
     rows: Vec<Row>,
-    row_digest: Vec<u64>,
     /// XOR fold of the per-row digests (each covers its owner id, so the
-    /// fold is membership-sensitive despite being order-insensitive).
-    digest: u64,
+    /// fold is membership-sensitive despite being order-insensitive),
+    /// computed on the first [`ClusterIndex::digest`] read after the last
+    /// mutation. A `OnceLock`, not a `Cell`: parallel readers share
+    /// `&ClusterIndex` across threads.
+    digest: OnceLock<u64>,
     stats: IndexStats,
 }
 
@@ -160,8 +164,7 @@ impl ClusterIndex {
             ids: Vec::new(),
             slot_of: vec![ABSENT; universe],
             rows: Vec::new(),
-            row_digest: Vec::new(),
-            digest: 0,
+            digest: OnceLock::new(),
             stats: IndexStats::default(),
         }
     }
@@ -196,7 +199,6 @@ impl ClusterIndex {
             .iter()
             .map(|&owner| build_row(owner, &index.ids, &mut dist))
             .collect();
-        index.rebuild_digests();
         index
     }
 
@@ -285,17 +287,14 @@ impl ClusterIndex {
             }
             checked.push(Row { d, id });
         }
-        let mut index = ClusterIndex {
+        Ok(ClusterIndex {
             universe,
             ids,
             slot_of,
             rows: checked,
-            row_digest: Vec::new(),
-            digest: 0,
+            digest: OnceLock::new(),
             stats: IndexStats::default(),
-        };
-        index.rebuild_digests();
-        Ok(index)
+        })
     }
 
     /// The id bound the index was created with: all member ids are below it.
@@ -351,8 +350,17 @@ impl ClusterIndex {
     /// Content digest: equal for equal (membership, distances) regardless
     /// of whether the index was built from scratch or maintained
     /// incrementally — the churn-correctness oracle.
+    ///
+    /// Hashed on the first read after a construction or churn delta and
+    /// memoised until the next one, so maintenance never pays for a
+    /// digest nobody reads.
     pub fn digest(&self) -> u64 {
-        self.digest
+        *self.digest.get_or_init(|| {
+            self.ids
+                .iter()
+                .zip(&self.rows)
+                .fold(0, |acc, (&owner, row)| acc ^ row.digest(owner))
+        })
     }
 
     /// Instance maintenance counters.
@@ -465,20 +473,10 @@ impl ClusterIndex {
         }
         drop(old_ids);
         self.rows = rows;
-        self.rebuild_digests();
+        self.digest = OnceLock::new();
         self.stats.rows_rebuilt += rebuilt;
         bcc_obs::add!("core.index.rows_rebuilt", rebuilt);
         Ok(())
-    }
-
-    fn rebuild_digests(&mut self) {
-        self.row_digest = self
-            .ids
-            .iter()
-            .zip(&self.rows)
-            .map(|(&owner, row)| row.digest(owner))
-            .collect();
-        self.digest = self.row_digest.iter().fold(0, |acc, &h| acc ^ h);
     }
 }
 

@@ -158,6 +158,73 @@ impl ClusterNode {
         Ok(keyed.into_iter().map(|(_, u)| u).collect())
     }
 
+    /// Algorithm 2, sender side, for every neighbor at once: the
+    /// [`ClusterNode::node_info_for`] message of each neighbor, in
+    /// [`ClusterNode::neighbors`] order, bit-identical to the per-edge
+    /// calls.
+    ///
+    /// The record union and each id's record count are built once; the
+    /// message for `to` discounts `to`'s own record from the counts,
+    /// keys the surviving ids by distance to `to`, and sorts only the
+    /// `n_cut` it selects — instead of rebuilding and sorting the whole
+    /// union once per neighbor.
+    pub fn node_info_all(
+        &self,
+        n_cut: usize,
+        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+    ) -> Vec<Vec<NodeId>> {
+        let mut union: Vec<NodeId> = vec![self.id];
+        for nodes in self.aggr_node.values() {
+            union.extend(nodes.iter().copied());
+        }
+        union.sort_unstable();
+        // `count[i]`: occurrences of `ids[i]` across all records. The node
+        // itself is always a candidate, so its count starts one higher and
+        // never drops to zero when a record is discounted.
+        let mut ids: Vec<NodeId> = Vec::with_capacity(union.len());
+        let mut count: Vec<u32> = Vec::with_capacity(union.len());
+        for u in union {
+            if ids.last() == Some(&u) {
+                *count.last_mut().expect("parallel to ids") += 1;
+            } else {
+                ids.push(u);
+                count.push(1);
+            }
+        }
+        let pos = |ids: &[NodeId], u: NodeId| ids.binary_search(&u).expect("id is in the union");
+        let cmp = |a: &(f64, NodeId), b: &(f64, NodeId)| {
+            a.0.partial_cmp(&b.0)
+                .expect("distances are comparable")
+                .then(a.1.cmp(&b.1))
+        };
+        let mut keyed: Vec<(f64, NodeId)> = Vec::with_capacity(ids.len());
+        self.neighbors
+            .iter()
+            .map(|&to| {
+                let own = self.aggr_node.get(&to).map_or(&[][..], Vec::as_slice);
+                for &u in own {
+                    count[pos(&ids, u)] -= 1;
+                }
+                keyed.clear();
+                keyed.extend(
+                    ids.iter()
+                        .zip(&count)
+                        .filter(|&(&u, &c)| c > 0 && u != to)
+                        .map(|(&u, _)| (dist(to, u), u)),
+                );
+                for &u in own {
+                    count[pos(&ids, u)] += 1;
+                }
+                if keyed.len() > n_cut {
+                    keyed.select_nth_unstable_by(n_cut, cmp);
+                    keyed.truncate(n_cut);
+                }
+                keyed.sort_unstable_by(cmp);
+                keyed.iter().map(|&(_, u)| u).collect()
+            })
+            .collect()
+    }
+
     /// Algorithm 2, receiver side: stores `propNode` received from `from`.
     ///
     /// # Errors
@@ -187,6 +254,13 @@ impl ClusterNode {
         space.sort_unstable();
         space.dedup();
         space
+    }
+
+    /// `true` when `pred` holds for some host of the clustering space —
+    /// [`ClusterNode::clustering_space`]`().iter().any(pred)` without
+    /// building or sorting the space.
+    pub fn clustering_space_any(&self, mut pred: impl FnMut(NodeId) -> bool) -> bool {
+        pred(self.id) || self.aggr_node.values().flatten().any(|&u| pred(u))
     }
 
     /// Algorithm 3, line 8: recomputes `aggrCRT[x][l]` for every class by
@@ -258,6 +332,49 @@ impl ClusterNode {
             }
         }
         Ok(row)
+    }
+
+    /// Algorithm 3, sender side, for every neighbor at once: the
+    /// [`ClusterNode::crt_for`] row of each neighbor, in
+    /// [`ClusterNode::neighbors`] order, bit-identical to the per-edge
+    /// calls.
+    ///
+    /// One pass over `aggrCRT[x]` and the stored rows keeps, per class,
+    /// the best value, the direction holding it, and the runner-up; the
+    /// row for `to` is the runner-up where `to` holds the best and the
+    /// best elsewhere. A tie at the top makes the runner-up equal the
+    /// best, so the tied value is what every neighbor sees.
+    pub fn crt_all(&self) -> Vec<Vec<usize>> {
+        // The node's own maxima seed `best` with no direction attached: a
+        // direction that outbids them demotes them to the runner-up.
+        let mut best = self.own_max.clone();
+        let mut argmax: Vec<Option<NodeId>> = vec![None; best.len()];
+        let mut second = vec![0usize; best.len()];
+        for (&v, crt) in &self.aggr_crt {
+            for (c, &val) in crt.iter().enumerate().take(best.len()) {
+                if val > best[c] {
+                    second[c] = best[c];
+                    best[c] = val;
+                    argmax[c] = Some(v);
+                } else {
+                    second[c] = second[c].max(val);
+                }
+            }
+        }
+        self.neighbors
+            .iter()
+            .map(|&to| {
+                (0..best.len())
+                    .map(|c| {
+                        if argmax[c] == Some(to) {
+                            second[c]
+                        } else {
+                            best[c]
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Algorithm 3, receiver side: stores the `propCRT` row from `from`.

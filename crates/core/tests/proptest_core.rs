@@ -160,6 +160,72 @@ proptest! {
     }
 
     #[test]
+    fn batched_reports_equal_per_edge_reports(
+        degree in 1usize..6,
+        records in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..10), 5),
+        present in proptest::collection::vec(0u8..4, 5),
+        shared in 0usize..16,
+        table in proptest::collection::vec(0u8..4, 16 * 16),
+        n_cut in 1usize..24,
+        own in proptest::collection::vec(0usize..4, 3),
+        rows in proptest::collection::vec(proptest::collection::vec(0usize..4, 3), 5),
+        tie in (0usize..3, 0usize..5, 0usize..5),
+    ) {
+        // Host 0 with neighbors 1..=degree. A neighbor's record is absent
+        // (0), empty (1), or a random list that usually also carries the
+        // `shared` id, so ids repeat within and across records and may
+        // name the host itself or another neighbor. Distances take four
+        // integer values, so `n_cut` often cuts a run of ties, and it
+        // often exceeds the candidate count.
+        let dist = |a: NodeId, b: NodeId| {
+            let (i, j) = (a.index().min(b.index()), a.index().max(b.index()));
+            if i == j { 0.0 } else { f64::from(table[i * 16 + j]) }
+        };
+        let neighbors: Vec<NodeId> = (1..=degree).map(NodeId::new).collect();
+        let mut node = ClusterNode::new(NodeId::new(0), neighbors.clone(), 3);
+        node.restore_own_max(own).unwrap();
+        for (i, &v) in neighbors.iter().enumerate() {
+            let record: Vec<NodeId> = match present[i] {
+                0 => continue,
+                1 => Vec::new(),
+                2 => records[i].iter().map(|&u| NodeId::new(u)).collect(),
+                _ => records[i].iter().chain([&shared]).map(|&u| NodeId::new(u)).collect(),
+            };
+            node.receive_node_info(v, record).unwrap();
+        }
+        // CRT rows: neighbor `i` stores a row unless `present[i] == 0`;
+        // two neighbors (when distinct) share the top value of one class.
+        let (class, a, b) = (tie.0, tie.1 % degree, tie.2 % degree);
+        let top = rows.iter().flatten().copied().max().unwrap_or(0) + 1;
+        for (i, &v) in neighbors.iter().enumerate() {
+            if present[i] == 0 {
+                continue;
+            }
+            let mut row = rows[i].clone();
+            if i == a || i == b {
+                row[class] = top;
+            }
+            node.receive_crt(v, row).unwrap();
+        }
+
+        for cut in [n_cut, 64] {
+            let all = node.node_info_all(cut, dist);
+            prop_assert_eq!(all.len(), neighbors.len());
+            for (&v, info) in neighbors.iter().zip(&all) {
+                prop_assert_eq!(
+                    info, &node.node_info_for(v, cut, dist).unwrap(),
+                    "NodeInfo to {} at n_cut={}", v, cut
+                );
+            }
+        }
+        let all = node.crt_all();
+        prop_assert_eq!(all.len(), neighbors.len());
+        for (&v, row) in neighbors.iter().zip(&all) {
+            prop_assert_eq!(row, &node.crt_for(v).unwrap(), "CRT row to {}", v);
+        }
+    }
+
+    #[test]
     fn euclidean_clustering_exact(pts in arb_points(8), k in 2usize..5, l in 1.0f64..80.0) {
         let d = DistanceMatrix::from_fn(pts.len(), |i, j| pts.distance(i, j));
         let ours = find_cluster_euclidean(&pts, k, l);

@@ -160,4 +160,59 @@ proptest! {
         }
         prop_assert_eq!(live.stats().full_builds, 0);
     }
+
+    #[test]
+    fn lazy_digest_equals_eager_digest_and_cold_build(
+        d in arb_tree_metric(10),
+        seed in proptest::collection::vec(any::<bool>(), 10),
+        ops in proptest::collection::vec((0usize..10, 0u8..3), 1..12),
+        fork_at in 0usize..12,
+    ) {
+        // Two copies run the same churn schedule; `eager` reads its digest
+        // after every step, `lazy` only at the end. The digest is computed
+        // on read, so when it is read must not change what it is.
+        let n = d.len();
+        let dist = |a: u32, b: u32| d.get(a as usize, b as usize);
+        let mut members: Vec<u32> = (0..n as u32).filter(|&i| seed[i as usize]).collect();
+        let mut eager = ClusterIndex::build(n, &members, dist);
+        let mut lazy = eager.clone();
+        let mut fork: Option<ClusterIndex> = None;
+        for (step, (raw, op)) in ops.iter().enumerate() {
+            if step == fork_at {
+                fork = Some(lazy.clone());
+            }
+            let id = (raw % n) as u32;
+            let present = members.contains(&id);
+            let (removed, reembedded): (&[u32], &[u32]) = match (op, present) {
+                (0, false) => (&[], &[id]),
+                (1, true) => (&[id], &[]),
+                // Re-embedding an existing member re-sorts its row.
+                (2, true) => (&[], &[id]),
+                _ => continue,
+            };
+            eager.apply_churn(removed, reembedded, dist).unwrap();
+            lazy.apply_churn(removed, reembedded, dist).unwrap();
+            if removed.is_empty() && !present {
+                members.push(id);
+            }
+            members.retain(|m| !removed.contains(m));
+            prop_assert_eq!(
+                eager.digest(),
+                ClusterIndex::build(n, &members, dist).digest(),
+                "eager digest after step {}", step
+            );
+        }
+        let cold = ClusterIndex::build(n, &members, dist).digest();
+        // A clone taken before any read, then read first.
+        let unread = lazy.clone();
+        prop_assert_eq!(unread.digest(), cold);
+        prop_assert_eq!(lazy.digest(), cold);
+        prop_assert_eq!(eager.digest(), cold);
+        // A clone forked mid-schedule (never read) digests like the
+        // membership it froze.
+        if let Some(fork) = fork {
+            let ids = fork.ids().to_vec();
+            prop_assert_eq!(fork.digest(), ClusterIndex::build(n, &ids, dist).digest());
+        }
+    }
 }

@@ -385,13 +385,6 @@ impl ClusterService {
         // because execution can only fail then, and failures are never
         // cached.
         let digest = self.system.live_digest().unwrap_or(u64::MAX);
-        // The cluster index rides the same epoch discipline: a cache entry
-        // stamped at this epoch is exactly as fresh as the index.
-        debug_assert_eq!(
-            self.system.index_stamp().0,
-            epoch,
-            "cluster index epoch must track the cache epoch"
-        );
 
         let mut outcomes: Vec<BatchSlot> = vec![None; batch.len()];
         let mut misses: Vec<(usize, CacheKey)> = Vec::new();

@@ -223,7 +223,10 @@ impl Coordinator {
     ) -> Result<Self, ShardError> {
         let mut coord = Self::new(bandwidth, config, plan, service_config)?;
         for &h in hosts {
-            coord.join(h)?;
+            coord.join_unstamped(h)?;
+        }
+        for sh in &coord.shards {
+            sh.stamp();
         }
         Ok(coord)
     }
@@ -239,6 +242,16 @@ impl Coordinator {
     ///
     /// Identical to [`DynamicSystem::join`].
     pub fn join(&mut self, host: NodeId) -> Result<(), ChurnError> {
+        self.join_unstamped(host)?;
+        self.shards[self.plan.owner(host)].stamp();
+        Ok(())
+    }
+
+    /// [`Coordinator::join`] without reading the owner's new stamp. Region
+    /// digests are computed on first read, so the public churn ops read
+    /// every stamp they moved before returning: the hash is paid by the
+    /// op, not by the next query's cache revalidation.
+    fn join_unstamped(&mut self, host: NodeId) -> Result<(), ChurnError> {
         if host.index() >= self.bandwidth.len() {
             return Err(EmbedError::UnknownHost(host).into());
         }
@@ -311,6 +324,8 @@ impl Coordinator {
             }
             sh.region
                 .apply_churn(removed, &per_shard[s], |a, b| fw_label_dist(fw, a, b))?;
+            // Hash the moved region now (see `join_unstamped`).
+            sh.stamp();
         }
         Ok(())
     }

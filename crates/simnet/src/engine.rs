@@ -368,12 +368,46 @@ impl SimNetwork {
         }
     }
 
+    /// Queues host `m`'s Algorithm 2 message to each overlay neighbor, in
+    /// neighbor order, from one [`ClusterNode::node_info_all`] pass.
+    fn push_node_info(&self, m: usize, deliveries: &mut Vec<(usize, NodeId, Message)>) {
+        let n_cut = self.config.n_cut;
+        let sender = &self.nodes[m];
+        let dist = |a: NodeId, b: NodeId| self.predicted.get(a.index(), b.index());
+        let infos = sender.node_info_all(n_cut, dist);
+        for (&x, info) in sender.neighbors().iter().zip(infos) {
+            debug_assert_eq!(
+                sender.node_info_for(x, n_cut, dist).as_ref(),
+                Ok(&info),
+                "batched NodeInfo must match the per-edge reference"
+            );
+            deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
+        }
+    }
+
+    /// Queues host `m`'s Algorithm 3 row to each overlay neighbor, in
+    /// neighbor order, from one [`ClusterNode::crt_all`] pass.
+    fn push_crt_rows(&self, m: usize, deliveries: &mut Vec<(usize, NodeId, Message)>) {
+        let sender = &self.nodes[m];
+        for (&x, row) in sender.neighbors().iter().zip(sender.crt_all()) {
+            debug_assert_eq!(
+                sender.crt_for(x).as_ref(),
+                Ok(&row),
+                "batched CRT row must match the per-edge reference"
+            );
+            let sizes = row
+                .iter()
+                .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
+                .collect();
+            deliveries.push((x.index(), sender.id(), Message::CrtRow { sizes }));
+        }
+    }
+
     /// Runs one gossip round. Returns `true` if any node's state changed or
     /// deliveries are still in flight (i.e. the protocol has not yet
     /// converged).
     pub fn run_round(&mut self) -> bool {
         let digest_before = self.digest();
-        let n_cut = self.config.n_cut;
         let n = self.nodes.len();
 
         // Fault lifecycle scheduled up to this round, then any deliveries
@@ -404,16 +438,10 @@ impl SimNetwork {
         // bytes for accounting, then delivered. Crashed nodes are silent.
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
         for m in 0..n {
-            let sender = &self.nodes[m];
-            if self.is_down(sender.id()) {
+            if self.is_down(self.nodes[m].id()) {
                 continue;
             }
-            for &x in sender.neighbors() {
-                let info = sender
-                    .node_info_for(x, n_cut, |a, b| self.predicted.get(a.index(), b.index()))
-                    .expect("overlay neighbors are mutual");
-                deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
-            }
+            self.push_node_info(m, &mut deliveries);
         }
         for (to, from, msg) in deliveries {
             self.send(to, from, msg);
@@ -439,18 +467,10 @@ impl SimNetwork {
         }
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
         for m in 0..n {
-            let sender = &self.nodes[m];
-            if self.is_down(sender.id()) {
+            if self.is_down(self.nodes[m].id()) {
                 continue;
             }
-            for &x in sender.neighbors() {
-                let row = sender.crt_for(x).expect("overlay neighbors are mutual");
-                let sizes = row
-                    .iter()
-                    .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
-                    .collect();
-                deliveries.push((x.index(), sender.id(), Message::CrtRow { sizes }));
-            }
+            self.push_crt_rows(m, &mut deliveries);
         }
         for (to, from, msg) in deliveries {
             self.send(to, from, msg);
@@ -669,11 +689,7 @@ impl SimNetwork {
             if seeds.contains(&i.index()) && self.space_digest[i.index()] == 0 {
                 continue;
             }
-            if self.nodes[i.index()]
-                .clustering_space()
-                .iter()
-                .any(|u| disturbed.contains(u))
-            {
+            if self.nodes[i.index()].clustering_space_any(|u| disturbed.contains(&u)) {
                 self.space_digest[i.index()] = 0;
                 seeds.insert(i.index());
             }
@@ -710,20 +726,13 @@ impl SimNetwork {
     /// One focused round: dirty hosts send, receivers that changed come
     /// back as the next dirty set.
     fn run_focused_round(&mut self, dirty: &BTreeSet<usize>) -> BTreeSet<usize> {
-        let n_cut = self.config.n_cut;
         let mut next: BTreeSet<usize> = BTreeSet::new();
 
         // Phase 1: NodeInfo from every dirty sender, produced from the
         // pre-round state (synchronous rounds, like `run_round`).
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
         for &m in dirty {
-            let sender = &self.nodes[m];
-            for &x in sender.neighbors() {
-                let info = sender
-                    .node_info_for(x, n_cut, |a, b| self.predicted.get(a.index(), b.index()))
-                    .expect("overlay neighbors are mutual");
-                deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
-            }
+            self.push_node_info(m, &mut deliveries);
         }
         for (to, from, msg) in deliveries {
             let before = self.nodes[to].aggr_node_for(from).map(<[NodeId]>::to_vec);
@@ -760,15 +769,7 @@ impl SimNetwork {
         // this round's own-max changes).
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
         for &m in &check {
-            let sender = &self.nodes[m];
-            for &x in sender.neighbors() {
-                let row = sender.crt_for(x).expect("overlay neighbors are mutual");
-                let sizes = row
-                    .iter()
-                    .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
-                    .collect();
-                deliveries.push((x.index(), sender.id(), Message::CrtRow { sizes }));
-            }
+            self.push_crt_rows(m, &mut deliveries);
         }
         let classes = self.config.classes.len();
         for (to, from, msg) in deliveries {

@@ -757,6 +757,15 @@ mod tests {
             PersistError::Malformed { .. }
         ));
 
+        // Tampered index digest: the rows verify, but the digest computed
+        // from them on restore does not match the recorded one.
+        let mut tampered = snap.clone();
+        tampered.index_digest ^= 1;
+        assert!(matches!(
+            tampered.restore(&bandwidth, &config).unwrap_err(),
+            PersistError::Malformed { .. }
+        ));
+
         // Tampered live digest is caught by the final self-check.
         let mut tampered = snap;
         tampered.live_digest = tampered.live_digest.map(|d| d ^ 1);
